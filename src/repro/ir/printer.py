@@ -199,9 +199,8 @@ def _header_parts(mod: Module) -> List[str]:
 
 def print_module_header(mod: Module) -> str:
     """The module's printed form minus the function bodies: ModuleID,
-    struct types, globals.  Together with per-function hashes this lets
-    the incremental compiler assemble an executable hash without
-    re-rendering unchanged functions."""
+    struct types, globals.  The executable hash is composed from this
+    header and the per-function body hashes."""
     return "\n".join(_header_parts(mod))
 
 

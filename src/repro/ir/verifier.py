@@ -27,11 +27,6 @@ class VerificationError(Exception):
     """Raised when the IR violates a structural invariant."""
 
 
-def _check(cond: bool, msg: str) -> None:
-    if not cond:
-        raise VerificationError(msg)
-
-
 def verify_function(fn: Function, dt=None) -> None:
     """Check ``fn``'s structural and SSA invariants.
 
@@ -41,41 +36,52 @@ def verify_function(fn: Function, dt=None) -> None:
     """
     from ..analysis.dominators import DominatorTree
 
-    _check(bool(fn.blocks), f"@{fn.name}: function has no blocks")
+    if not fn.blocks:
+        raise VerificationError(f"@{fn.name}: function has no blocks")
     block_set: Set[BasicBlock] = set(fn.blocks)
 
     for bb in fn.blocks:
-        _check(bb.parent is fn, f"@{fn.name}/{bb.name}: wrong parent")
-        term = bb.terminator
-        _check(term is not None, f"@{fn.name}/{bb.name}: missing terminator")
+        if bb.parent is not fn:
+            raise VerificationError(f"@{fn.name}/{bb.name}: wrong parent")
+        if bb.terminator is None:
+            raise VerificationError(
+                f"@{fn.name}/{bb.name}: missing terminator")
         for i, inst in enumerate(bb.instructions):
-            _check(inst.parent is bb,
-                   f"@{fn.name}/{bb.name}: instruction parent mismatch")
-            if inst.is_terminator:
-                _check(i == len(bb.instructions) - 1,
-                       f"@{fn.name}/{bb.name}: terminator not last")
-            if isinstance(inst, PhiInst):
-                _check(i < len(bb.phis()),
-                       f"@{fn.name}/{bb.name}: phi not at block head")
+            if inst.parent is not bb:
+                raise VerificationError(
+                    f"@{fn.name}/{bb.name}: instruction parent mismatch")
+            if inst.is_terminator and i != len(bb.instructions) - 1:
+                raise VerificationError(
+                    f"@{fn.name}/{bb.name}: terminator not last")
+            if isinstance(inst, PhiInst) and i >= len(bb.phis()):
+                raise VerificationError(
+                    f"@{fn.name}/{bb.name}: phi not at block head")
             if isinstance(inst, BranchInst):
                 for t in inst.targets:
-                    _check(t in block_set,
-                           f"@{fn.name}/{bb.name}: branch to foreign block")
+                    if t not in block_set:
+                        raise VerificationError(
+                            f"@{fn.name}/{bb.name}: branch to foreign block")
             if isinstance(inst, ReturnInst):
                 if fn.return_type.is_void:
-                    _check(inst.value is None,
-                           f"@{fn.name}: returning value from void function")
-                else:
-                    _check(inst.value is not None,
-                           f"@{fn.name}: missing return value")
+                    if inst.value is not None:
+                        raise VerificationError(
+                            f"@{fn.name}: returning value from void "
+                            f"function")
+                elif inst.value is None:
+                    raise VerificationError(
+                        f"@{fn.name}: missing return value")
             if isinstance(inst, LoadInst):
-                _check(inst.pointer.type.is_pointer, f"@{fn.name}: load from non-pointer")
-                _check(inst.pointer.type.pointee == inst.type,
-                       f"@{fn.name}: load type mismatch")
-            if isinstance(inst, StoreInst):
-                _check(inst.pointer.type.pointee == inst.value.type,
-                       f"@{fn.name}: store type mismatch "
-                       f"({inst.value.type} into {inst.pointer.type})")
+                if not inst.pointer.type.is_pointer:
+                    raise VerificationError(
+                        f"@{fn.name}: load from non-pointer")
+                if inst.pointer.type.pointee != inst.type:
+                    raise VerificationError(
+                        f"@{fn.name}: load type mismatch")
+            if isinstance(inst, StoreInst) and \
+                    inst.pointer.type.pointee != inst.value.type:
+                raise VerificationError(
+                    f"@{fn.name}: store type mismatch "
+                    f"({inst.value.type} into {inst.pointer.type})")
 
     # phi incoming blocks must exactly match predecessors
     preds = {bb: [] for bb in fn.blocks}
@@ -86,9 +92,10 @@ def verify_function(fn: Function, dt=None) -> None:
         for phi in bb.phis():
             inc = set(id(b) for b in phi.incoming_blocks)
             actual = set(id(b) for b in preds[bb])
-            _check(inc == actual,
-                   f"@{fn.name}/{bb.name}: phi incoming blocks {sorted(inc)} "
-                   f"!= predecessors {sorted(actual)}")
+            if inc != actual:
+                raise VerificationError(
+                    f"@{fn.name}/{bb.name}: phi incoming blocks "
+                    f"{sorted(inc)} != predecessors {sorted(actual)}")
 
     # SSA dominance: every use is dominated by its def
     if dt is None:
@@ -113,17 +120,19 @@ def verify_function(fn: Function, dt=None) -> None:
                 if isinstance(inst, PhiInst):
                     # value must dominate the incoming edge's terminator
                     pred = inst.incoming_blocks[oi]
-                    ok = dt.dominates_block(dbb, pred) if dbb is not pred else True
-                    _check(ok, f"@{fn.name}: phi operand does not dominate edge")
-                else:
-                    if dbb is bb:
-                        _check(di < i,
-                               f"@{fn.name}/{bb.name}: use before def of "
-                               f"{format_safe(op)}")
-                    else:
-                        _check(dt.dominates_block(dbb, bb),
-                               f"@{fn.name}: def in {dbb.name} does not "
-                               f"dominate use in {bb.name}")
+                    if dbb is not pred and not dt.dominates_block(dbb, pred):
+                        raise VerificationError(
+                            f"@{fn.name}: phi operand does not dominate "
+                            f"edge")
+                elif dbb is bb:
+                    if di >= i:
+                        raise VerificationError(
+                            f"@{fn.name}/{bb.name}: use before def of "
+                            f"{format_safe(op)}")
+                elif not dt.dominates_block(dbb, bb):
+                    raise VerificationError(
+                        f"@{fn.name}: def in {dbb.name} does not "
+                        f"dominate use in {bb.name}")
 
 
 def format_safe(inst: Instruction) -> str:

@@ -55,6 +55,24 @@ class TestUnknownWorkload:
         assert "unknown workload" in capsys.readouterr().err
 
 
+class TestRemovedIncrementalFlag:
+    """Neither parser has an ``--incremental`` option: passing it is a
+    usage error, not a silently ignored flag."""
+
+    def test_main_rejects_incremental(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--workload", "XSBench-seq", "--incremental", "on"])
+        assert exc.value.code == 2
+        assert "--incremental" in capsys.readouterr().err
+
+    def test_importance_rejects_incremental(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["importance", "--workload", "XSBench-seq",
+                  "--incremental", "on"])
+        assert exc.value.code == 2
+        assert "--incremental" in capsys.readouterr().err
+
+
 class TestUnknownStrategy:
     """--strategy choices come from the strategy registry — one source
     of truth for both the oraql and importance parsers — and an unknown

@@ -181,6 +181,21 @@ class TestVerifier:
         with pytest.raises(VerificationError):
             verify_function(fn)
 
+    def test_use_before_def_names_the_def(self, module):
+        fn = module.add_function(FunctionType(I64, [I64]), "f")
+        b = IRBuilder(fn.add_block("entry"))
+        a = b.add(fn.args[0], b.i64(1))
+        c = b.mul(a, a)
+        b.ret(c)
+        # swap the def and its user; the terminator stays last
+        insts = fn.entry.instructions
+        insts[0], insts[1] = c, a
+        from repro.ir.printer import format_instruction
+        with pytest.raises(VerificationError,
+                           match="use before def of") as err:
+            verify_function(fn)
+        assert format_instruction(a) in str(err.value)
+
     def test_store_type_mismatch(self, module):
         fn, b = self._fn(module)
         from repro.ir import StoreInst, ConstantInt

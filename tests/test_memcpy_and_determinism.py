@@ -13,10 +13,14 @@ from repro.ir import (
     MemCpyInst,
     Module,
     VOID,
+    function_hash,
     module_hash,
     ptr,
     verify_module,
 )
+from repro.oraql import BenchmarkConfig, SourceFile
+from repro.oraql.compiler import Compiler
+from repro.oraql.sequence import DecisionSequence
 from repro.passes import CompilationContext, PassManager, build_pipeline, parse_pipeline
 from repro.vm import Machine
 
@@ -153,6 +157,16 @@ class TestDeterminism:
             ctx = CompilationContext(m)
             PassManager(ctx).run(build_pipeline(3))
         assert module_hash(m1) == module_hash(m2)
+
+    def test_fn_hashes_match_bodies(self):
+        # the executable hash is composed from the per-function body
+        # hashes, so each entry must be the hash of the optimized body
+        cfg = BenchmarkConfig(name="d", sources=[SourceFile("d.c", DET_SRC)])
+        prog = Compiler().compile(cfg, DecisionSequence(),
+                                  oraql_enabled=True)
+        assert list(prog.fn_hashes) == list(prog.module.functions)
+        for name, fn in prog.module.functions.items():
+            assert prog.fn_hashes[name] == function_hash(fn)
 
 
 class TestInlinerDifferential:

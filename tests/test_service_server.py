@@ -263,18 +263,22 @@ class TestProtocolErrors:
 
         async def main():
             svc = await start(jobs=1)
+            errors = {}
             try:
                 async with ServiceClient(socket_path=sock) as c:
-                    with pytest.raises(ServiceError) as err:
-                        await c.submit(workload="MiniGMG-sse",
-                                       workolad_typo=1)
-                    return err.value
+                    for field, value in (("workolad_typo", 1),
+                                         ("incremental", "on")):
+                        with pytest.raises(ServiceError) as err:
+                            await c.submit(workload="MiniGMG-sse",
+                                           **{field: value})
+                        errors[field] = err.value
+                    return errors
             finally:
                 await svc.close()
 
-        err = run(main())
-        assert err.code == "bad-request"
-        assert "workolad_typo" in err.detail
+        for field, err in run(main()).items():
+            assert err.code == "bad-request", field
+            assert field in err.detail
 
     def test_duplicate_job_id(self, service):
         start, sock = service
