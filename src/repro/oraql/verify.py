@@ -15,6 +15,7 @@ traps, loops forever, or deadlocks — and so infrastructure failures
 from __future__ import annotations
 
 import difflib
+import hashlib
 import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -64,6 +65,18 @@ class RunResult:
     @property
     def ok(self) -> bool:
         return self.state == "done"
+
+    def signature(self) -> str:
+        """Everything a run observably produced, as one line: the stdout
+        digest, end state, error kind, instruction count, exact cycle
+        total and per-kernel cycles (``repr`` keeps every float bit).
+        Two executions of one program agree iff their signatures do."""
+        digest = hashlib.sha256(self.stdout.encode()).hexdigest()
+        kernels = ",".join(f"{k}={v!r}"
+                           for k, v in sorted(self.kernel_cycles.items()))
+        return (f"stdout={digest} state={self.state} "
+                f"error={self.error_kind} insts={self.instructions} "
+                f"cycles={self.cycles!r} kernels=[{kernels}]")
 
 
 def triage_run(result: RunResult) -> str:
