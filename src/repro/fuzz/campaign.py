@@ -34,6 +34,7 @@ from ..frontend.ast_nodes import TranslationUnit
 from ..oraql.cache import VerdictCache
 from ..oraql.compiler import Compiler
 from ..oraql.sequence import DecisionSequence
+from ..vm.reference import ReferenceMachine
 from .corpus import CorpusEntry, entry_name, write_entry
 from .generator import GeneratorOptions, generate_program
 from .oracle import DifferentialOracle, base_config
@@ -216,6 +217,22 @@ def _config_diverges(unit: TranslationUnit, opt_level: int,
     return (not run.ok) or run.stdout != ref.stdout
 
 
+def _engines_disagree(unit: TranslationUnit, opt_level: int,
+                      config_key: str) -> bool:
+    """True iff the decoded and reference VM engines still disagree on
+    the named config (``o0``, ``o3`` or ``optimistic``)."""
+    import dataclasses as _dc
+    cfg = base_config(0, render_unit(unit), opt_level)
+    kw = {}
+    if config_key == "o0":
+        cfg = _dc.replace(cfg, opt_level=0)
+    elif config_key == "optimistic":
+        kw = dict(sequence=DecisionSequence(), oraql_enabled=True)
+    prog = Compiler().compile(cfg, **kw)
+    return prog.run().signature() != \
+        prog.execute(ReferenceMachine, cfg.max_steps).signature()
+
+
 def _is_hazard_seed(seed: int, opts: CampaignOptions) -> bool:
     if opts.self_test:
         return True
@@ -254,6 +271,9 @@ def run_seed(seed: int, opts: CampaignOptions) -> SeedResult:
         kind, config_key, detail = f.kind, f.config_key, f.detail
         if f.kind == "unsound-optimism-uncaught":
             predicate = lambda u: _optimism_diverges(u, opts.opt_level)  # noqa: E731
+        elif f.kind == "engine-mismatch":
+            predicate = lambda u: _engines_disagree(  # noqa: E731
+                u, opts.opt_level, f.config_key)
         else:
             predicate = lambda u: _config_diverges(  # noqa: E731
                 u, opts.opt_level, f.config_key)

@@ -66,18 +66,23 @@ class CompiledProgram:
         trace = self.ctx.trace
         with (trace.phase("vm-run") if trace is not None
               else nullcontext()):
-            return self._run(cfg, max_steps, wall_clock, cost_model)
+            return self.execute(Machine, max_steps, wall_clock, cost_model)
 
-    def _run(self, cfg: BenchmarkConfig, max_steps: int,
-             wall_clock: Optional[float], cost_model=None) -> RunResult:
+    def execute(self, engine, max_steps: int,
+                wall_clock: Optional[float] = None,
+                cost_model=None) -> RunResult:
+        """Execute on ``engine``, a :class:`~repro.vm.Machine` class.
+        :meth:`run` uses the production Machine; the fuzz oracle also
+        runs :class:`~repro.vm.reference.ReferenceMachine` here."""
+        cfg = self.config
         try:
             if cfg.nranks > 1:
                 machines = [
-                    Machine(self.module, max_steps=max_steps,
-                            cost_model=cost_model,
-                            kernel_info=self.kernel_info,
-                            num_threads=cfg.num_threads, argv=cfg.argv,
-                            wall_clock=wall_clock)
+                    engine(self.module, max_steps=max_steps,
+                           cost_model=cost_model,
+                           kernel_info=self.kernel_info,
+                           num_threads=cfg.num_threads, argv=cfg.argv,
+                           wall_clock=wall_clock)
                     for _ in range(cfg.nranks)
                 ]
                 for m in machines:
@@ -99,11 +104,11 @@ class CompiledProgram:
                         kcycles[k] = kcycles.get(k, 0.0) + v
                 return RunResult(out, state, err, insts, cycles, kcycles,
                                  error_kind=kind)
-            m = Machine(self.module, max_steps=max_steps,
-                        cost_model=cost_model,
-                        kernel_info=self.kernel_info,
-                        num_threads=cfg.num_threads, argv=cfg.argv,
-                        wall_clock=wall_clock)
+            m = engine(self.module, max_steps=max_steps,
+                       cost_model=cost_model,
+                       kernel_info=self.kernel_info,
+                       num_threads=cfg.num_threads, argv=cfg.argv,
+                       wall_clock=wall_clock)
             m.start(cfg.entry)
             m.run_to_completion()
             return RunResult(m.output(), m.state,

@@ -1,8 +1,17 @@
 """repro.vm — deterministic execution of (optimized) IR.
 
-Provides the byte-addressable memory model, the step-machine interpreter
-with instruction/cycle accounting, runtime shims for libc/OpenMP/CUDA,
-and the multi-rank MPI scheduler.
+Provides the byte-addressable memory model, the interpreter with
+instruction/cycle accounting, runtime shims for libc/OpenMP/CUDA, and
+the multi-rank MPI scheduler.
+
+:class:`Machine` runs *decoded* code: each function is lowered once per
+Machine, on its first call, into per-block lists of ``(cost, op)`` pairs
+over integer register slots (:mod:`repro.vm.decode`).
+:class:`repro.vm.reference.ReferenceMachine` is the tree-walking engine
+it replaced, kept as a referee: the fuzz oracle and the tests run
+programs on both and require identical stdout, state, instruction count
+and cycles.  Scalar semantics shared by both engines and by constant
+folding live in :mod:`repro.vm.semantics`.
 """
 
 from .cost_model import (

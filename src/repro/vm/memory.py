@@ -1,16 +1,20 @@
 """Byte-addressable memory for the interpreter.
 
-A single flat address space per process image: globals segment, heap,
-and per-call stack region, carved out of one growable bytearray.  Scalar
-values are marshalled with ``struct``; vectors element-wise.  Accesses
-outside allocated regions raise :class:`MemoryTrap` — the behaviour a
-miscompiled executable shows as a crash.
+A single flat address space per process image: globals, heap and stack
+allocations are all carved out of one growable bytearray by a bump
+allocator that never reuses addresses.  Scalar values are marshalled
+with ``struct``; vectors element-wise.  An access that reaches outside
+``[0x1000, brk)`` — below the first allocation (null and small wild
+pointers) or past the highest address ever allocated — raises
+:class:`MemoryTrap`, the behaviour a miscompiled executable shows as a
+crash.  Accesses inside that range always succeed, even into memory
+that was freed or never belonged to the accessed object.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Dict
 
 from ..ir.types import FloatType, IntType, PointerType, Type, VectorType
 from .errors import MemoryTrap
@@ -20,12 +24,13 @@ _BASE = 0x1000
 
 
 class Memory:
-    """Flat memory with a bump allocator and allocation tracking."""
+    """Flat memory with a bump allocator."""
 
     def __init__(self, capacity: int = 1 << 22):
         self.data = bytearray(capacity)
         self.brk = _BASE
-        #: sorted list of (start, size) live allocations for bounds checks
+        #: start -> size of each live allocation (``free``/``release``
+        #: drop entries); bookkeeping only, bounds checks do not use it
         self.allocations: Dict[int, int] = {}
 
     # -- allocation ------------------------------------------------------
@@ -43,10 +48,12 @@ class Memory:
         self.allocations.pop(addr, None)
 
     def release(self, addr: int) -> None:
-        """Drop a stack allocation on function return."""
+        """Forget a stack allocation on function return; its bytes stay
+        addressable."""
         self.allocations.pop(addr, None)
 
     def check(self, addr: int, size: int) -> None:
+        """Trap unless ``[addr, addr + size)`` lies in ``[0x1000, brk)``."""
         if addr < _BASE or addr + size > self.brk:
             raise MemoryTrap(f"access [{addr:#x},+{size}) outside memory")
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..ir.function import Function
 from .cost_model import occupancy_factor
