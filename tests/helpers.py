@@ -17,6 +17,7 @@ from repro.ir import (
 )
 from repro.passes import CompilationContext, PassManager, build_pipeline
 from repro.vm import Machine
+from repro.vm.reference import ReferenceMachine
 
 
 def run_main(module, entry="main", max_steps=10_000_000, **kw):
@@ -26,6 +27,15 @@ def run_main(module, entry="main", max_steps=10_000_000, **kw):
     m.run_to_completion()
     assert m.state == "done", f"{m.state}: {m.error}"
     return m
+
+
+class LoadCostsMore(ReferenceMachine):
+    """A deliberately perturbed VM engine: loads cost one cycle more.
+    The engine referee must report it as an ``engine-mismatch``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.cost.costs["load"] += 1.0
 
 
 def compile_and_run(source, opt_level=3, entry="main", filename="t.c",

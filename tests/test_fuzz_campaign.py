@@ -8,12 +8,15 @@ from repro.fuzz.campaign import (
     CampaignOptions,
     CampaignReport,
     SELF_TEST_SIZE_LIMIT,
+    _engines_disagree,
     _is_hazard_seed,
     run_campaign,
     run_seed,
 )
 from repro.fuzz.cli import build_parser, main
 from repro.fuzz.corpus import load_corpus
+
+from helpers import LoadCostsMore
 
 
 class TestHazardCoin:
@@ -65,6 +68,32 @@ class TestRunSeed:
         # the chunked-skeleton strategies agree exactly
         assert r.outcomes["strategy-mcts"] == "match"
         assert r.outcomes["strategy-provenance-prior"] == "match"
+
+
+class TestEngineMismatchReduction:
+    """An engine-mismatch reproducer shrinks while the two VM engines
+    still disagree on its config."""
+
+    SOURCE = """\
+double a[4];
+int main() {
+  for (int i = 0; i < 4; i = i + 1) { a[i] = i * 1.5; }
+  printf("%f\\n", a[3]);
+  return 0;
+}
+"""
+
+    def _unit(self):
+        from repro.frontend import parse
+        return parse(self.SOURCE, filename="t.c")
+
+    @pytest.mark.parametrize("key", ["o0", "o3", "optimistic"])
+    def test_predicate_tracks_engine_agreement(self, key, monkeypatch):
+        import repro.fuzz.campaign as campaign
+
+        assert not _engines_disagree(self._unit(), 3, key)
+        monkeypatch.setattr(campaign, "ReferenceMachine", LoadCostsMore)
+        assert _engines_disagree(self._unit(), 3, key)
 
 
 class TestRunCampaign:
