@@ -20,13 +20,17 @@ from typing import Dict, List, Optional, Protocol
 from ..ir.function import Function
 from ..ir.instructions import (
     CallInst,
+    CastInst,
+    GEPInst,
     Instruction,
     LoadInst,
     MemCpyInst,
     MemSetInst,
+    SelectInst,
     StoreInst,
 )
 from ..ir.values import Value
+from ..trace.events import RESPONDER_NONE, RESPONDER_OVERRIDE
 from .memloc import MemoryLocation
 
 
@@ -119,7 +123,6 @@ class AAResults:
         if self.override is not None and \
                 self.override.should_force_may(a, b, fn):
             if self.trace is not None:
-                from ..trace.events import RESPONDER_OVERRIDE
                 self.trace.chain_query(fn_name, a, b, RESPONDER_OVERRIDE,
                                        str(AliasResult.MAY))
             return AliasResult.MAY
@@ -142,7 +145,6 @@ class AAResults:
                 return r
             return AliasResult.MAY
         if self.trace is not None:
-            from ..trace.events import RESPONDER_NONE
             self.trace.chain_query(fn_name, a, b, RESPONDER_NONE,
                                    str(AliasResult.MAY))
         return AliasResult.MAY
@@ -221,8 +223,6 @@ class AAResults:
 def underlying_object(ptr: Value, max_lookup: int = 12) -> Value:
     """Strip GEPs / bitcasts / pointer-select-with-same-base to the base
     object (LLVM's ``getUnderlyingObject``)."""
-    from ..ir.instructions import CastInst, GEPInst, PhiInst, SelectInst
-
     seen = 0
     v = ptr
     while seen < max_lookup:

@@ -6,7 +6,13 @@ from typing import Dict, List, Optional, Set
 
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import BranchInst, ICmpInst, Instruction, PhiInst
+from ..ir.instructions import (
+    BinaryInst,
+    BranchInst,
+    ICmpInst,
+    Instruction,
+    PhiInst,
+)
 from ..ir.values import ConstantInt, Value
 from .cfg import predecessor_map
 from .dominators import DominatorTree
@@ -151,7 +157,6 @@ def loop_trip_count(loop: Loop) -> Optional[int]:
         return None
     start = None
     step = None
-    from ..ir.instructions import BinaryInst
     for v, b in lhs.incoming:
         if b in loop.blocks:
             if (isinstance(v, BinaryInst) and v.op == "add"

@@ -20,12 +20,15 @@ Responsibilities beyond plain lowering, all of which feed the AA stack:
 from __future__ import annotations
 
 import itertools
+from contextlib import nullcontext
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir import (
     AliasScope,
+    AllocaInst,
     ArrayType,
     BasicBlock,
+    CastInst,
     ConstantData,
     ConstantFloat,
     ConstantInt,
@@ -84,6 +87,7 @@ from .ast_nodes import (
     Unary,
     While,
 )
+from .omp import outline_parallel_for
 from .parser import parse
 
 #: builtins forwarded to the runtime; name -> (ret IR type, pure)
@@ -319,8 +323,6 @@ class FnEmitter:
     def create_alloca(self, ty: Type, name: str):
         """Create a stack slot in the *entry* block (clang's behaviour),
         regardless of where the builder currently is, so mem2reg sees it."""
-        from ..ir import AllocaInst
-
         entry = self.fn.entry
         inst = AllocaInst(ty, 1, name)
         idx = 0
@@ -516,12 +518,10 @@ class FnEmitter:
 
     # -- OpenMP outlining --------------------------------------------------
     def emit_omp_for(self, stmt: For) -> None:
-        from .omp import outline_parallel_for
         outline_parallel_for(self, stmt)
 
     # -- conditions & conversions -----------------------------------------
     def eval_condition(self, e: Expr) -> Value:
-        from ..ir import CastInst
         v, cty = self.eval_expr(e)
         if v.type == I1:
             return v
@@ -987,8 +987,22 @@ def _ctype_of_ir(ty: Type) -> CType:
 
 def compile_source(source: str, filename: str = "<minic>",
                    module: Optional[Module] = None,
-                   options: Optional[FrontendOptions] = None) -> Module:
-    """Front-end entry: MiniC text → (unoptimized) IR module."""
-    tu = parse(source, filename, unit_name=filename)
-    cg = CodeGen(module, options, filename)
-    return cg.generate(tu)
+                   options: Optional[FrontendOptions] = None,
+                   units: Optional[Dict[Tuple[str, str],
+                                        TranslationUnit]] = None,
+                   trace=None) -> Module:
+    """Front-end entry: MiniC text → (unoptimized) IR module.
+
+    ``units`` memoises parsed translation units by ``(source,
+    filename)``: on a hit the cached AST is lowered into a fresh module
+    without lexing or parsing again (IR generation only reads the AST).
+    ``trace`` times each real parse as a ``parse`` phase."""
+    key = (source, filename)
+    tu = units.get(key) if units is not None else None
+    if tu is None:
+        with (trace.phase("parse") if trace is not None
+              else nullcontext()):
+            tu = parse(source, filename, unit_name=filename)
+        if units is not None:
+            units[key] = tu
+    return CodeGen(module, options, filename).generate(tu)

@@ -48,6 +48,7 @@ from .ast_nodes import (
     Ident,
     If,
     Index,
+    IntLit,
     Member,
     Param,
     Return,
@@ -116,7 +117,7 @@ def _loop_bounds(stmt: For) -> Tuple[str, Expr, Expr]:
         raise OmpError("omp for requires 'i < hi' condition")
     hi = cond.rhs
     if cond.op == "<=":
-        hi = Binary(cond.line, "+", hi, IntLitOne(cond.line))
+        hi = Binary(cond.line, "+", hi, IntLit(cond.line, 1))
     step = stmt.step
     ok_step = False
     if isinstance(step, Unary) and step.op in ("++", "p++") \
@@ -124,17 +125,11 @@ def _loop_bounds(stmt: For) -> Tuple[str, Expr, Expr]:
         ok_step = True
     if isinstance(step, Assign) and step.op == "+=" \
             and isinstance(step.target, Ident) and step.target.name == var:
-        from .ast_nodes import IntLit
         if isinstance(step.value, IntLit) and step.value.value == 1:
             ok_step = True
     if not ok_step:
         raise OmpError("omp for requires unit-increment step")
     return var, lo, hi
-
-
-def IntLitOne(line: int):
-    from .ast_nodes import IntLit
-    return IntLit(line, 1)
 
 
 def outline_parallel_for(emitter, stmt: For) -> None:
@@ -179,6 +174,8 @@ def outline_parallel_for(emitter, stmt: For) -> None:
         Param(CType("int"), "lb"),
         Param(CType("int"), "ub"),
     ], None, False, stmt.line)
+    # codegen imports this module at load time to reach
+    # outline_parallel_for, so the reverse import waits for the call
     from .codegen import FnEmitter, _ctype_of_ir
     sub = FnEmitter(cg, sub_fd, out_fn)
     entry = out_fn.add_block("entry")
@@ -204,7 +201,6 @@ def outline_parallel_for(emitter, stmt: For) -> None:
         sub.scope[n] = (p, cty)
 
     # for (i = lb; i < ub; i++) BODY
-    from .ast_nodes import IntLit
     loop = For(
         stmt.line,
         DeclStmt(stmt.line, CType("int"), var, Ident(stmt.line, "lb")),

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from .basicblock import BasicBlock
+from .function import Function
 from .instructions import (
     AllocaInst,
     BinaryInst,
@@ -204,7 +205,6 @@ class IRBuilder:
 
     def call(self, callee, args: Sequence[Value], type: Optional[Type] = None,
              name: str = "") -> CallInst:
-        from .function import Function
         if type is None:
             assert isinstance(callee, Function)
             type = callee.return_type

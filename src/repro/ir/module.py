@@ -5,9 +5,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from .function import Function
+from .instructions import CallInst
 from .metadata import TBAAForest
-from .types import FunctionType, StructType, Type
-from .values import Constant, GlobalVariable
+from .types import ArrayType, FunctionType, I8, StructType, Type
+from .values import Constant, ConstantData, GlobalVariable
 
 
 class Module:
@@ -58,9 +59,6 @@ class Module:
 
     def add_string(self, text: str, name: Optional[str] = None) -> GlobalVariable:
         """Intern a NUL-terminated string constant (printf formats etc.)."""
-        from .types import ArrayType, I8
-        from .values import ConstantData
-
         payload = text.encode() + b"\x00"
         if name is None:
             name = f".str.{self._str_count}"
@@ -114,8 +112,6 @@ class Module:
     def _fixup_callees(self) -> None:
         """Point every direct call at the canonical (linked) function.
         The callee is an attribute, not an operand, so RAUW misses it."""
-        from .instructions import CallInst
-
         for fn in self.defined_functions():
             for inst in fn.instructions():
                 if isinstance(inst, CallInst) and isinstance(

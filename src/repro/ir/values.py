@@ -7,13 +7,16 @@ from typing import Iterable, List, Optional, Set, Tuple
 
 from .types import (
     ArrayType,
+    F64,
     FloatType,
+    I64,
     IntType,
     PointerType,
     StructType,
     Type,
     VectorType,
 )
+from .uselist import UseList
 
 _value_ids = itertools.count()
 
@@ -29,8 +32,6 @@ class Value:
     __slots__ = ("type", "name", "users", "id", "__weakref__")
 
     def __init__(self, type: Type, name: str = ""):
-        from .uselist import UseList
-
         self.type = type
         self.name = name
         self.users: UseList = UseList()
@@ -164,12 +165,10 @@ class GlobalVariable(Value):
 # -- convenience constructors -------------------------------------------------
 
 def const_int(value: int, type: IntType = None) -> ConstantInt:
-    from .types import I64
     return ConstantInt(type or I64, value)
 
 
 def const_float(value: float, type: FloatType = None) -> ConstantFloat:
-    from .types import F64
     return ConstantFloat(type or F64, value)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import List, Set
 
+from ..analysis.dominators import DominatorTree
 from .basicblock import BasicBlock
 from .function import Function
 from .instructions import (
@@ -20,6 +21,7 @@ from .instructions import (
     StoreInst,
 )
 from .module import Module
+from .printer import format_instruction
 from .values import Argument, Constant, GlobalVariable, Value
 
 
@@ -34,8 +36,6 @@ def verify_function(fn: Function, dt=None) -> None:
     manager's cached analysis) to avoid a throwaway rebuild; when None,
     one is constructed locally.
     """
-    from ..analysis.dominators import DominatorTree
-
     if not fn.blocks:
         raise VerificationError(f"@{fn.name}: function has no blocks")
     block_set: Set[BasicBlock] = set(fn.blocks)
@@ -137,7 +137,6 @@ def verify_function(fn: Function, dt=None) -> None:
 
 def format_safe(inst: Instruction) -> str:
     try:
-        from .printer import format_instruction
         return format_instruction(inst)
     except Exception:  # pragma: no cover - printing must not mask errors
         return repr(inst)

@@ -125,8 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "(loadable in Perfetto / chrome://tracing)")
     p.add_argument("--time-passes", action="store_true",
                    help="collect and print the hierarchical phase-timing "
-                        "report (frontend/passes/codegen/vm-run, "
-                        "per-pass self vs. children)")
+                        "report (frontend/parse, verify, passes, "
+                        "exe-hash, codegen, vm-run; per-pass self vs. "
+                        "children)")
     p.add_argument("--remarks", action="store_true",
                    help="print optimization remarks from the final "
                         "compile, each linked to the ORAQL query "

@@ -20,7 +20,7 @@ from ..codegen import (
     codegen_function,
     compile_kernel,
 )
-from ..frontend import FrontendOptions, compile_source
+from ..frontend import FrontendOptions, TranslationUnit, compile_source
 from ..ir import Module, function_hash, print_module_header, verify_module
 from ..passes import CompilationContext, PassManager, build_pipeline
 from ..vm import Machine, MPIWorld, VMError
@@ -155,6 +155,11 @@ class Compiler:
         self.frontend_options = frontend_options or FrontendOptions()
         self.verify_analyses = verify_analyses
         self.invalidation = invalidation
+        #: parse memo, (source text, filename) → AST: a probing session
+        #: recompiles the same sources under different decision bits,
+        #: so each source is parsed once per Compiler and every compile
+        #: lowers a fresh module from the cached AST
+        self._units: Dict[Tuple[str, str], TranslationUnit] = {}
         #: content-addressed codegen caches: body hash → artifact.  The
         #: key is the *printed body* hash, so hash-identical functions
         #: hash-hit across probes (and across configs compiled by the
@@ -183,12 +188,18 @@ class Compiler:
         def timed(name):
             return trace.phase(name) if trace is not None else nullcontext()
 
+        def verify(module: Module) -> None:
+            with timed("verify"):
+                verify_module(module)
+
         # 1. frontend: one module per translation unit
         modules: List[Module] = []
         with timed("frontend"):
             for src in config.sources:
                 modules.append(compile_source(src.text, src.name,
-                                              options=self.frontend_options))
+                                              options=self.frontend_options,
+                                              units=self._units,
+                                              trace=trace))
 
         # 2. ORAQL pass appended to the chain when probing; one pass
         #    instance is shared across translation units so the decision
@@ -226,7 +237,7 @@ class Compiler:
             main = modules[0]
             for other in modules[1:]:
                 main.link(other)
-            verify_module(main)
+            verify(main)
             ctx = CompilationContext(
                 main, aa_chain=chain, oraql=oraql, override=override,
                 debug_pass_executions=debug_pass_executions,
@@ -234,14 +245,14 @@ class Compiler:
                 trace=trace)
             with timed("passes"):
                 PassManager(ctx).run(pipeline)
-            verify_module(main)
+            verify(main)
         else:
             # 3b. non-LTO: optimize each translation unit in isolation
             #     (no cross-TU inlining or analysis), then link the
             #     optimized modules for execution
             contexts: List[CompilationContext] = []
             for module in modules:
-                verify_module(module)
+                verify(module)
                 mctx = CompilationContext(
                     module, aa_chain=chain, oraql=oraql, override=override,
                     debug_pass_executions=debug_pass_executions,
@@ -250,12 +261,12 @@ class Compiler:
                 # a fresh pipeline per TU: passes may keep per-run state
                 with timed("passes"):
                     PassManager(mctx).run(build_pipeline(config.opt_level))
-                verify_module(module)
+                verify(module)
                 contexts.append(mctx)
             main = modules[0]
             for other in modules[1:]:
                 main.link(other)
-            verify_module(main)
+            verify(main)
             # fold the per-TU bookkeeping into the first context, which
             # becomes the program's reporting context
             ctx = contexts[0]
@@ -264,11 +275,16 @@ class Compiler:
             if oraql is not None:
                 oraql.attach(ctx)
 
-        # 4. codegen: host statistics + device kernels (Fig. 6 / Fig. 7),
-        #    served through the content-addressed per-function cache
-        with timed("codegen"):
+        # 4. per-function body hashes: printing every function is the
+        #    bulk of the executable hash, and the hashes key the codegen
+        #    cache below
+        with timed("exe-hash"):
             fn_hashes = {name: function_hash(fn)
                          for name, fn in main.functions.items()}
+
+        # 5. codegen: host statistics + device kernels (Fig. 6 / Fig. 7),
+        #    served through the content-addressed per-function cache
+        with timed("codegen"):
             codegen = self._codegen_cached(main, ctx.stats, fn_hashes)
             kernels = self._kernels_cached(main, fn_hashes)
         for name, ki in kernels.items():

@@ -11,10 +11,14 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..analysis.aliasing import AliasResult, ModRefInfo
+from ..analysis.basic_aa import alloca_is_captured
 from ..analysis.memloc import MemoryLocation
 from ..ir.function import Function
 from ..ir.instructions import (
+    AllocaInst,
     CallInst,
+    CastInst,
+    GEPInst,
     Instruction,
     LoadInst,
     MemCpyInst,
@@ -95,10 +99,6 @@ class DSE(Pass):
         """Stores into a non-escaping alloca that is never loaded are
         dead (classic end-of-function DSE).  This is what lets a whole
         scratch computation die once GVN has forwarded all its reads."""
-        from ..analysis.basic_aa import alloca_is_captured
-        from ..analysis.aliasing import underlying_object
-        from ..ir.instructions import AllocaInst, GEPInst, CastInst
-
         changed = False
         for bb in list(fn.blocks):
             for inst in bb.instructions:

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..analysis.aliasing import underlying_object
 from ..ir.basicblock import BasicBlock
+from ..ir.builder import IRBuilder
 from ..ir.function import Function
 from ..ir.instructions import (
     AllocaInst,
@@ -162,7 +164,6 @@ class Inliner(Pass):
                         clone.set_operand(i, vmap[op])
 
         # connect: bb -> entry clone; every return -> cont
-        from ..ir.builder import IRBuilder
         b = IRBuilder(bb)
         b.br(block_map[callee.entry])
         if site.type.is_void or not returns:
@@ -200,7 +201,6 @@ class Inliner(Pass):
         if not scopes or not (clone.may_read_memory()
                               or clone.may_write_memory()):
             return
-        from ..analysis.aliasing import underlying_object
 
         ptr = getattr(clone, "pointer", None)
         based_on = None

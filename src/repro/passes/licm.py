@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
-from ..analysis.aliasing import AliasResult, ModRefInfo
+from ..analysis.aliasing import AliasResult, ModRefInfo, underlying_object
+from ..analysis.basic_aa import is_identified_object
 from ..analysis.loops import Loop, LoopInfo
 from ..analysis.memloc import MemoryLocation
 from ..ir.basicblock import BasicBlock
@@ -33,7 +34,7 @@ from ..ir.instructions import (
     ShuffleSplatInst,
     StoreInst,
 )
-from ..ir.values import Value
+from ..ir.values import Argument, Value
 from .analysis_manager import PreservedAnalyses
 from .pass_manager import CompilationContext, Pass
 
@@ -157,10 +158,6 @@ class LICM(Pass):
     def _deref_base(pointer) -> bool:
         """Is the pointer based on something assumed dereferenceable
         (an identified allocation or a pointer argument)?"""
-        from ..analysis.aliasing import underlying_object
-        from ..analysis.basic_aa import is_identified_object
-        from ..ir.values import Argument
-
         base = underlying_object(pointer)
         return is_identified_object(base) or isinstance(base, Argument)
 

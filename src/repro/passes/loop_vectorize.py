@@ -27,6 +27,7 @@ from ..analysis.aliasing import AliasResult
 from ..analysis.loops import Loop
 from ..analysis.memloc import BEFORE_OR_AFTER, LocationSize, MemoryLocation
 from ..ir.basicblock import BasicBlock
+from ..ir.builder import IRBuilder
 from ..ir.function import Function
 from ..ir.instructions import (
     BinaryInst,
@@ -288,8 +289,6 @@ class LoopVectorize(Pass):
     # -- transform ------------------------------------------------------------
     def _transform(self, fn: Function, loop: Loop, shape: _Shape,
                    plan: Dict, ctx: CompilationContext) -> None:
-        from ..ir.builder import IRBuilder
-
         pre = shape.preheader
         header = shape.header
         iv = shape.iv

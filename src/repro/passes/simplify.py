@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
+from ..analysis.cfg import reachable_blocks
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -21,16 +22,16 @@ from ..ir.instructions import (
     SelectInst,
 )
 from ..ir.values import ConstantFloat, ConstantInt, UndefValue, Value
-from ..ir.types import FloatType, IntType
+from ..ir.types import I1, FloatType, IntType
+from ..vm.semantics import icmp, scalar_binop, unsigned, wrap_int
 from .analysis_manager import PreservedAnalyses
 from .pass_manager import CompilationContext, Pass
 
 
 def _fold_binop(op: str, a: ConstantInt, b: ConstantInt,
                 ty: IntType) -> Optional[ConstantInt]:
-    from ..vm.interpreter import Machine
     try:
-        v = Machine._scalar_binop(op, a.value, b.value, ty)
+        v = scalar_binop(op, a.value, b.value, ty)
     except Exception:
         return None
     return ConstantInt(ty, v)
@@ -103,11 +104,8 @@ class InstCombine(Pass):
                     and a.op == "zext" and a.value.type == IntType(1):
                 return a.value
             if isinstance(a, ConstantInt) and isinstance(b, ConstantInt):
-                from ..vm.interpreter import Machine
-                bits = a.type.bits
-                from ..ir.types import I1
-                return ConstantInt(I1, Machine._icmp(inst.pred, a.value,
-                                                     b.value, bits))
+                return ConstantInt(I1, icmp(inst.pred, a.value, b.value,
+                                            a.type.bits))
         elif isinstance(inst, SelectInst):
             c = inst.operands[0]
             if isinstance(c, ConstantInt):
@@ -128,12 +126,11 @@ class InstCombine(Pass):
                 return v
             if isinstance(v, ConstantInt):
                 if inst.op in ("sext", "zext", "trunc"):
-                    from ..vm.interpreter import _unsigned, _wrap_int
                     if inst.op == "zext":
-                        return ConstantInt(inst.type, _unsigned(v.value, v.type.bits))
+                        return ConstantInt(inst.type, unsigned(v.value, v.type.bits))
                     if inst.op == "sext":
                         return ConstantInt(inst.type, v.value)
-                    return ConstantInt(inst.type, _wrap_int(v.value, inst.type.bits))
+                    return ConstantInt(inst.type, wrap_int(v.value, inst.type.bits))
                 if inst.op == "sitofp":
                     return ConstantFloat(inst.type, float(v.value))
         return None
@@ -227,7 +224,6 @@ class SimplifyCFG(Pass):
         return changed
 
     def _remove_unreachable(self, fn: Function, ctx: CompilationContext) -> bool:
-        from ..analysis.cfg import reachable_blocks
         reach = reachable_blocks(fn)
         dead = [bb for bb in fn.blocks if bb not in reach]
         if not dead:

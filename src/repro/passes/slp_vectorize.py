@@ -20,9 +20,11 @@ from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (
     BinaryInst,
+    CastInst,
     GEPInst,
     Instruction,
     LoadInst,
+    ShuffleSplatInst,
     StoreInst,
 )
 from ..ir.types import VectorType, ptr
@@ -197,8 +199,6 @@ class SLPVectorize(Pass):
     # -- emission ----------------------------------------------------------
     def _emit(self, fn: Function, bb: BasicBlock, stores: List[StoreInst],
               tree: _Lanes, ctx: CompilationContext) -> None:
-        from ..ir.builder import IRBuilder
-
         anchor = max(stores, key=lambda s: bb.instructions.index(s))
         new_insts: List[Instruction] = []
 
@@ -210,15 +210,13 @@ class SLPVectorize(Pass):
         def emit_tree(node: _Lanes) -> Value:
             first = node.values[0]
             if node.kind == "splat":
-                from ..ir.instructions import ShuffleSplatInst
                 return insert(ShuffleSplatInst(first, LANES,
                                                fn.unique_name("slp.splat")))
             if node.kind == "load":
                 vty = VectorType(first.type, LANES)
-                from ..ir.instructions import CastInst, LoadInst as LI
                 cast = insert(CastInst("bitcast", first.pointer, ptr(vty),
                                        fn.unique_name("slp.cast")))
-                vl = insert(LI(cast, fn.unique_name("slp.load")))
+                vl = insert(LoadInst(cast, fn.unique_name("slp.load")))
                 vl.tbaa = first.tbaa
                 vl.scoped = first.scoped
                 ctx.stats.add(self.display_name,
@@ -233,7 +231,6 @@ class SLPVectorize(Pass):
 
         vec_value = emit_tree(tree)
         vty = VectorType(stores[0].value.type, LANES)
-        from ..ir.instructions import CastInst
         cast = insert(CastInst("bitcast", stores[0].pointer, ptr(vty),
                                fn.unique_name("slp.cast")))
         st = insert(StoreInst(vec_value, cast))

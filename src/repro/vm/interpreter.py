@@ -56,9 +56,6 @@ from .errors import (
 )
 from .memory import Memory
 from .semantics import cast_scalar, fcmp, icmp, scalar_binop
-# re-exported: constant folding (passes/simplify.py) imports them here
-from .semantics import unsigned as _unsigned  # noqa: F401
-from .semantics import wrap_int as _wrap_int  # noqa: F401
 
 #: ``Frame.ret_slot`` of a frame whose return value goes to
 #: ``Machine.retval`` (the entry frame and synchronous calls)

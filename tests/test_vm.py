@@ -23,8 +23,8 @@ from repro.vm import (
     VMError,
     occupancy_factor,
 )
-from repro.vm.interpreter import _unsigned, _wrap_int
 from repro.vm.reference import ReferenceMachine
+from repro.vm.semantics import unsigned, wrap_int
 
 from helpers import run_main
 
@@ -111,9 +111,9 @@ class TestArithmetic:
     @given(st.integers(-2**63, 2**63 - 1), st.integers(0, 63))
     def test_shifts(self, a, s):
         shl = Machine._scalar_binop("shl", a, s, I64)
-        assert _wrap_int(a << s, 64) == shl
+        assert wrap_int(a << s, 64) == shl
         lshr = Machine._scalar_binop("lshr", a, s, I64)
-        assert lshr == _wrap_int(_unsigned(a, 64) >> s, 64)
+        assert lshr == wrap_int(unsigned(a, 64) >> s, 64)
 
 
 class TestPrintf:
